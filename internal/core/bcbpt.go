@@ -281,9 +281,9 @@ const recsShardSize = 128
 // afterwards to let it complete; see BootstrapDeadline.
 //
 // Before scheduling any join, Bootstrap precomputes every node's DNS
-// candidate ranking — the dominant host-time cost of a large build — in
-// population-derived shards spread across the worker pool configured by
-// SetBuildWorkers. ctx cancels the precompute between shards; a cancelled
+// candidate ranking — the largest host-time cost of a build after the
+// bootstrap event run itself — in population-derived shards spread
+// across the worker pool configured by SetBuildWorkers. ctx cancels the precompute between shards; a cancelled
 // Bootstrap returns an error wrapping ctx.Err() having scheduled nothing.
 func (b *BCBPT) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 	for _, id := range ids {
