@@ -24,9 +24,9 @@ test:
 	$(GO) test ./...
 
 # The engine fans campaigns across goroutines, the build shards its
-# placement/candidate phases, the fleet coordinator serves concurrent
-# HTTP workers, and the obs tracer is written into by every partition
-# worker; keep the concurrent packages honest under the race detector.
+# placement/candidate phases, and the fleet coordinator serves concurrent
+# HTTP workers; keep the concurrent packages honest under the race
+# detector.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiment ./internal/core ./internal/measure ./internal/netnode ./internal/fleet ./internal/p2p ./internal/wire ./internal/obs
 
@@ -40,7 +40,6 @@ FUZZ_RACE ?=
 fuzz-smoke:
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzFlatNodeMatchesReference -fuzztime=30s ./internal/p2p
 	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzArenaMatchesReference -fuzztime=30s ./internal/sim
-	$(GO) test $(FUZZ_RACE) -run='^$$' -fuzz=FuzzParallelMatchesSerial -fuzztime=30s ./internal/sim
 
 # Distributed-campaign smoke: a coordinator + 2 local workers (one
 # induced worker failure) must merge a tiny sweep byte-identical to the
@@ -48,9 +47,9 @@ fuzz-smoke:
 fleet-smoke:
 	sh scripts/fleetsmoke.sh
 
-# Observability smoke: a figure3 run traced (serial and parallel kernels)
-# must produce a CDF CSV byte-identical to the untraced run, and both
-# trace exports (Perfetto JSON + binary spool) must validate. See
+# Observability smoke: a figure3 run traced (static overlay and under
+# churn) must produce a CDF CSV byte-identical to the untraced run, and
+# both trace exports (Perfetto JSON + binary spool) must validate. See
 # scripts/tracesmoke.sh.
 trace-smoke:
 	sh scripts/tracesmoke.sh

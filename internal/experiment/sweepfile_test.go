@@ -117,6 +117,9 @@ func TestParseSweepErrors(t *testing.T) {
 		{"bad duration", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin"}, "deadline": "soonish"}]}`, "invalid duration"},
 		{"partial bcbpt config", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bcbpt", "bcbpt": {"Threshold": "25ms"}}}]}`, "ProbeCount"},
 		{"bad churn", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "bitcoin", "churn": {"SessionShape": 0.5}}}]}`, "SessionScale"},
+		// sim_workers selected the retired parallel event dispatcher; the
+		// strict schema now rejects it by name.
+		{"retired sim_workers", `{"campaigns": [{"name": "a", "spec": {"nodes": 40, "seed": 1, "protocol": "lbc", "sim_workers": 4}}]}`, `unknown field "sim_workers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,32 +178,25 @@ func TestParseSweepChurnDurations(t *testing.T) {
 	}
 }
 
-// TestParseSweepSimWorkers: sweep files can ask fleet workers for
-// parallel event dispatch. The knob must round-trip through the strict
-// schema and must NOT enter the spec fingerprint — it is a
-// host-parallelism setting with bit-identical results, so a worker
-// running a campaign at a different worker count must still merge into
-// the same sweep.
-func TestParseSweepSimWorkers(t *testing.T) {
-	sf, err := ParseSweep([]byte(`{
-		"campaigns": [{
-			"name": "lbc-parallel",
-			"spec": {"nodes": 500, "seed": 7, "protocol": "lbc", "sim_workers": 4},
-			"runs": 50
-		}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
+// TestFigure3FingerprintsPinned pins the Figure 3 campaign fingerprints
+// to their recorded values. The fleet merges shards only when their
+// fingerprints match, so a spec field added, removed or re-encoded must
+// not move these numbers, or shards from earlier fleet runs stop merging.
+func TestFigure3FingerprintsPinned(t *testing.T) {
+	want := map[bool]map[string]uint64{
+		false: {"bitcoin": 0xbb5105b2f1f44605, "lbc": 0x8f9d5aa352a5b190, "bcbpt-25ms": 0x19b496b207271a42},
+		true:  {"bitcoin": 0x62d32c216955a24f, "lbc": 0xb7aa3d3fb2953cd8, "bcbpt-25ms": 0xae7a3a6bf8b53506},
 	}
-	cs := sf.Campaigns[0]
-	if cs.Spec.SimWorkers != 4 {
-		t.Fatalf("sim_workers parsed as %d, want 4", cs.Spec.SimWorkers)
-	}
-	serial := cs
-	serial.Spec.SimWorkers = 0
-	if cs.Fingerprint() != serial.Fingerprint() {
-		t.Errorf("fingerprint depends on sim_workers: %016x (workers=4) != %016x (serial)",
-			cs.Fingerprint(), serial.Fingerprint())
+	for _, churnOn := range []bool{false, true} {
+		o := Options{Nodes: 120, Runs: 5, Seed: 1, ChurnOn: churnOn}
+		if !churnOn {
+			o.Replications = 2
+		}
+		for _, cs := range Figure3Campaigns(o) {
+			if got, exp := cs.Fingerprint(), want[churnOn][cs.Name]; got != exp {
+				t.Errorf("churn=%v %s: fingerprint %#016x, want %#016x", churnOn, cs.Name, got, exp)
+			}
+		}
 	}
 }
 

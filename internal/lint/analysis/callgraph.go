@@ -7,16 +7,12 @@ import (
 )
 
 // Package-local interprocedural machinery: a static call graph over the
-// package's declared functions, a forward transitive-reachability
-// closure, and a backward description-propagating fixpoint. This
-// generalizes the ad-hoc fixpoint lockio grew in PR 7 so every analyzer
-// that needs "what does this function reach" gets it from one engine:
-// lockio propagates I/O descriptions backward to call sites, partiso
-// computes the set of functions reachable forward from the PDES dispatch
-// roots. The graph is deliberately conservative and package-local —
-// calls through function values, interface methods, and other packages
-// are not edges; analyzers that need cross-package facts classify the
-// call site directly instead.
+// package's declared functions and a backward description-propagating
+// fixpoint over it — lockio uses it to charge a call site with the I/O
+// its same-package callees reach. The graph is deliberately conservative
+// and package-local — calls through function values, interface methods,
+// and other packages are not edges; analyzers that need cross-package
+// facts classify the call site directly instead.
 
 // Callee resolves a call expression to the *types.Func it statically
 // invokes (package function or method), or nil for builtins, type
@@ -35,38 +31,25 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // CallGraph is the static, package-local call graph of one checked
 // package: one node per declared function or method in a lintable file,
-// one edge per syntactic call that resolves to another declared function
-// of the same package.
+// one edge per call that resolves to another declared function of the
+// same package and runs on the caller's stack. Calls inside `go`
+// statements and non-invoked function literals are not edges, which is
+// what lexical critical-section analyses need.
 type CallGraph struct {
 	info *types.Info
 
 	// decls holds every declared function in source order — fixpoints
 	// iterate it so diagnostics and descriptions are deterministic.
 	decls []*ast.FuncDecl
-	// DeclOf maps a package function to its declaration (nil for
-	// functions without bodies).
-	DeclOf map[*types.Func]*ast.FuncDecl
-	// fnOf is the inverse of DeclOf.
+	// fnOf maps a declaration to the function it defines.
 	fnOf map[*ast.FuncDecl]*types.Func
-	// sameStack records which walk mode built the graph (see NewCallGraph).
-	sameStack bool
 }
 
 // NewCallGraph builds the call graph over pass's lintable files.
-//
-// sameStack selects the edge semantics. When true, calls inside `go`
-// statements and non-invoked function literals are NOT edges: the walk
-// models work performed on the caller's stack, which is what lexical
-// critical-section analyses need. When false, every syntactic call in
-// the body is an edge, including those inside function literals — a
-// literal scheduled for later still executes in whatever domain invokes
-// it, which is what reachability analyses need.
-func NewCallGraph(pass *Pass, sameStack bool) *CallGraph {
+func NewCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
-		info:      pass.TypesInfo(),
-		DeclOf:    map[*types.Func]*ast.FuncDecl{},
-		fnOf:      map[*ast.FuncDecl]*types.Func{},
-		sameStack: sameStack,
+		info: pass.TypesInfo(),
+		fnOf: map[*ast.FuncDecl]*types.Func{},
 	}
 	for _, f := range pass.Files() {
 		if !pass.Lintable(f) {
@@ -82,7 +65,6 @@ func NewCallGraph(pass *Pass, sameStack bool) *CallGraph {
 				continue
 			}
 			g.decls = append(g.decls, fd)
-			g.DeclOf[fn] = fd
 			g.fnOf[fd] = fn
 		}
 	}
@@ -93,53 +75,18 @@ func NewCallGraph(pass *Pass, sameStack bool) *CallGraph {
 // Funcs returns every declared function in source order.
 func (g *CallGraph) Funcs() []*ast.FuncDecl { return g.decls }
 
-// FuncOf returns the *types.Func a declaration defines, or nil.
-func (g *CallGraph) FuncOf(fd *ast.FuncDecl) *types.Func { return g.fnOf[fd] }
-
-// walkCalls visits every call expression in body that the graph's edge
-// semantics include, in source order.
+// walkCalls visits every call expression in body that runs on the
+// caller's stack, in source order.
 func (g *CallGraph) walkCalls(body *ast.BlockStmt, visit func(*ast.CallExpr) bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
-			if g.sameStack {
-				return false
-			}
+			return false
 		case *ast.CallExpr:
 			return visit(n)
 		}
 		return true
 	})
-}
-
-// Reachable returns the forward transitive closure of roots over the
-// graph: every declared function that a root can reach through static
-// package-local calls, roots included (when declared in this package).
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	reached := make(map[*types.Func]bool, len(roots))
-	var frontier []*types.Func
-	for _, r := range roots {
-		if _, ok := g.DeclOf[r]; ok && !reached[r] {
-			reached[r] = true
-			frontier = append(frontier, r)
-		}
-	}
-	for len(frontier) > 0 {
-		fn := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		g.walkCalls(g.DeclOf[fn].Body, func(call *ast.CallExpr) bool {
-			callee := Callee(g.info, call)
-			if callee == nil {
-				return true
-			}
-			if _, local := g.DeclOf[callee]; local && !reached[callee] {
-				reached[callee] = true
-				frontier = append(frontier, callee)
-			}
-			return true
-		})
-	}
-	return reached
 }
 
 // Reaches computes, for every declared function, a description of the
@@ -189,11 +136,7 @@ func (g *CallGraph) Describe(call *ast.CallExpr, direct func(*ast.CallExpr) stri
 	if what := direct(call); what != "" {
 		return what
 	}
-	fn := Callee(g.info, call)
-	if fn == nil {
-		return ""
-	}
-	if _, local := g.DeclOf[fn]; local {
+	if fn := Callee(g.info, call); fn != nil {
 		if what, ok := reaches[fn]; ok {
 			return fn.Name() + " (which reaches " + what + ")"
 		}

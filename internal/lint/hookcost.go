@@ -186,7 +186,7 @@ func (w *guardWalker) nonNilExpr(e ast.Expr, nn map[string]bool) bool {
 		return true
 	}
 	if call, ok := e.(*ast.CallExpr); ok {
-		fn := calleeFunc(w.info, call)
+		fn := analysis.Callee(w.info, call)
 		if isMethodOn(fn, modulePath+"/internal/obs", "Tracer", "Shard") {
 			return true
 		}
@@ -329,7 +329,7 @@ func (w *guardWalker) checkHookArg(site string, arg ast.Expr) {
 			w.pass.Reportf(n.Pos(), "%s argument allocates: function literal (closure) — pass scalars instead", site)
 			return false
 		case *ast.CallExpr:
-			fn := calleeFunc(w.info, n)
+			fn := analysis.Callee(w.info, n)
 			if fn != nil && funcPkgPath(fn) == "fmt" {
 				w.pass.Reportf(n.Pos(), "%s argument allocates: fmt.%s — record scalar fields instead", site, fn.Name())
 			}

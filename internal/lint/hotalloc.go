@@ -47,7 +47,7 @@ func runHotalloc(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
+			fn := analysis.Callee(info, call)
 			if fn == nil {
 				return true
 			}

@@ -71,9 +71,9 @@ func runLockio(pass *analysis.Pass) error {
 	info := pass.TypesInfo()
 
 	// Pass 1: classify package functions that reach I/O, to a fixpoint.
-	// sameStack: work inside `go` statements and non-invoked literals
-	// does not run inside the caller's critical section.
-	g := analysis.NewCallGraph(pass, true)
+	// Work inside `go` statements and non-invoked literals is not an
+	// edge: it does not run inside the caller's critical section.
+	g := analysis.NewCallGraph(pass)
 	direct := func(call *ast.CallExpr) string { return directIOCall(info, call) }
 	reaches := g.Reaches(direct)
 
@@ -105,7 +105,7 @@ func runLockio(pass *analysis.Pass) error {
 // directIOCall describes the I/O performed by call itself (not through
 // same-package callees — the call graph layers that on), or "".
 func directIOCall(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
+	fn := analysis.Callee(info, call)
 	if fn == nil {
 		return ""
 	}

@@ -125,7 +125,7 @@ func checkMapRangeBody(pass *analysis.Pass, scope *ast.BlockStmt, rng *ast.Range
 // orderSensitiveCall classifies a call whose per-iteration order is
 // observable, returning a short description or "".
 func orderSensitiveCall(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
+	fn := analysis.Callee(info, call)
 	if fn == nil {
 		return ""
 	}
@@ -228,7 +228,7 @@ func sortedAfter(info *types.Info, scope *ast.BlockStmt, rng *ast.RangeStmt, obj
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		fn := calleeFunc(info, call)
+		fn := analysis.Callee(info, call)
 		if fn == nil {
 			return true
 		}

@@ -99,7 +99,7 @@ func checkSeedflow(pass *analysis.Pass, info *types.Info, body *ast.BlockStmt) {
 				}
 				return seedUnknown
 			}
-			fn := calleeFunc(info, t)
+			fn := analysis.Callee(info, t)
 			if fn == nil {
 				return seedUnknown
 			}
@@ -157,7 +157,7 @@ func checkSeedflow(pass *analysis.Pass, info *types.Info, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(info, call)
+		fn := analysis.Callee(info, call)
 		if fn == nil {
 			return true
 		}

@@ -7,21 +7,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// calleeFunc resolves a call expression to the *types.Func it invokes
-// (package function or method), or nil for builtins, conversions, and
-// calls through function-typed values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // funcPkgPath returns the defining package path of fn, or "" for
 // builtins/error methods.
 func funcPkgPath(fn *types.Func) string {
@@ -110,4 +95,23 @@ func mentionsObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// terminates reports whether a block always transfers control out
+// (return, branch, or panic as its final statement).
+func terminates(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	switch last := b.List[len(b.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -90,7 +90,7 @@ func TestWriteTraceJSONShape(t *testing.T) {
 	tr := NewTracer(16, 1)
 	s := tr.Shard(0)
 	s.Record(Event{At: 1500 * time.Nanosecond, Kind: KindSend, Code: 3, P1: 1, P2: 2, P3: 61})
-	s.Record(Event{At: 2 * time.Microsecond, Kind: KindWindowOpen, P1: 0, P2: 5000})
+	s.Record(Event{At: 2 * time.Microsecond, Kind: KindFirstSeen, P1: 9, P2: 5000})
 	s.Record(Event{Wall: 12345, Kind: KindLeaseGrant, P1: 7})
 	var buf bytes.Buffer
 	if err := tr.WriteTraceJSON(&buf); err != nil {
@@ -102,7 +102,7 @@ func TestWriteTraceJSONShape(t *testing.T) {
 			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
+			S    string  `json:"s"`
 			Tid  uint64  `json:"tid"`
 			Args map[string]uint64
 		} `json:"traceEvents"`
@@ -120,9 +120,47 @@ func TestWriteTraceJSONShape(t *testing.T) {
 	if first.Ts != 1.5 {
 		t.Fatalf("send ts = %v µs, want 1.5", first.Ts)
 	}
-	win := doc.TraceEvents[2]
-	if win.Ph != "X" || win.Dur != 5 {
-		t.Fatalf("window event ph=%q dur=%v, want X / 5µs", win.Ph, win.Dur)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "i" || ev.S != "p" {
+			t.Fatalf("event %q ph=%q s=%q, want an instant (i, p)", ev.Name, ev.Ph, ev.S)
+		}
+	}
+	if seen := doc.TraceEvents[2]; seen.Name != "first-seen" || seen.Tid != 9 || seen.Args["p2"] != 5000 {
+		t.Fatalf("first-seen event exported as %+v", seen)
+	}
+}
+
+// TestKindNumbersPinned pins every kind's spool number and export name:
+// a spool written by an earlier build must decode to the same kinds.
+// Numbers 7–9 belonged to the retired window events and stay unused.
+func TestKindNumbersPinned(t *testing.T) {
+	want := []struct {
+		kind Kind
+		num  uint8
+		name string
+	}{
+		{KindNone, 0, "none"},
+		{KindSend, 1, "send"},
+		{KindDeliver, 2, "deliver"},
+		{KindDrop, 3, "drop"},
+		{KindLoss, 4, "loss"},
+		{KindFirstSeen, 5, "first-seen"},
+		{KindInject, 6, "inject"},
+		{Kind(7), 7, "unknown"},
+		{Kind(8), 8, "unknown"},
+		{Kind(9), 9, "unknown"},
+		{KindLeaseGrant, 10, "lease-grant"},
+		{KindLeaseRenew, 11, "lease-renew"},
+		{KindLeaseExpire, 12, "lease-expire"},
+		{KindLeaseCommit, 13, "lease-commit"},
+	}
+	if len(want) != int(numKinds) {
+		t.Fatalf("table covers %d kinds, package defines %d", len(want), numKinds)
+	}
+	for _, w := range want {
+		if uint8(w.kind) != w.num || w.kind.String() != w.name {
+			t.Errorf("kind %d (%s): want number %d, name %q", uint8(w.kind), w.kind, w.num, w.name)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func (nd *Node) acceptBlock(b *chain.Block, from NodeID) error {
 	e.seenAt = nd.now()
 	nd.storeBlock(hi, b)
 	e.reqGen = 0
-	if tr := nd.dctx.trace; tr != nil {
+	if tr := nd.net.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(h)})
 	}
 	if nd.net.OnBlockFirstSeen != nil {
@@ -62,7 +62,7 @@ func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
 		if nd.holderHas(hi, ref.pos) {
 			continue
 		}
-		nd.net.deliver(nd, ref.node, nd.dctx.newInv(wire.InvBlock, h))
+		nd.net.deliver(nd, ref.node, nd.net.dc.newInv(wire.InvBlock, h))
 	}
 }
 
@@ -70,7 +70,7 @@ func (nd *Node) announceBlock(hi int32, h chain.Hash, except NodeID) {
 // handleInv for InvBlock items; fromPos is the sender's adjacency
 // position (or -1), computed once there.
 func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect) {
-	want := nd.dctx.newGetData()
+	want := nd.net.dc.newGetData()
 	gen := nd.net.invGen
 	for _, item := range items {
 		hi := nd.net.hashSlot(item.Hash)
@@ -85,7 +85,7 @@ func (nd *Node) handleBlockInv(from NodeID, fromPos int32, items []wire.InvVect)
 	if len(want.Items) > 0 {
 		nd.net.send(nd.id, from, want)
 	} else {
-		nd.dctx.recycleMessage(want)
+		nd.net.dc.recycleMessage(want)
 	}
 }
 
@@ -102,7 +102,7 @@ func (nd *Node) handleBlock(from NodeID, m *wire.MsgBlock) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.BlockCost(b, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.id, from, nil, b))
+	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.id, from, nil, b))
 }
 
 // HasBlock reports whether the node holds the block.

@@ -106,15 +106,8 @@ type Node struct {
 	slot int32
 	loc  geo.Location
 	net  *Network
-	// dctx is the node's dispatch context: &net.serial in serial mode,
-	// the node's partition context in parallel mode. Every event this
-	// node executes — and every send, schedule, pool access and clock
-	// read it makes while executing — goes through dctx, which is what
-	// keeps the parallel hot path free of shared mutable state.
-	dctx *dispatchCtx
 	// sendSeq counts this node's deliver calls. It keys the per-send
-	// delivery RNG and canonically orders cross-partition commits; being
-	// per-sender, it is identical in serial and parallel runs.
+	// delivery RNG.
 	sendSeq uint64
 
 	// peerTab is the stable-position adjacency table (id == 0 marks a
@@ -153,10 +146,8 @@ type Node struct {
 	extraHandler func(from NodeID, msg wire.Message)
 }
 
-// now returns the node's current virtual time: its partition clock in
-// parallel mode, the global clock otherwise. Handlers must use it instead
-// of Network.Now, which is only meaningful between runs.
-func (nd *Node) now() sim.Time { return nd.dctx.sched.Now() }
+// now returns the current virtual time.
+func (nd *Node) now() sim.Time { return nd.net.sched.Now() }
 
 // SetExtraHandler installs a handler for protocol-extension messages
 // (JOIN/CLUSTER). Passing nil removes it.
@@ -270,15 +261,9 @@ func (nd *Node) sortedPeers() []peerRef {
 	if nd.peersValid {
 		return nd.peerList
 	}
-	// The cache rebuild below mutates Node state from dispatch-reachable
-	// code, which partiso flags: it is safe because a node's handlers run
-	// only in its owning partition, so the cache has a single writer, and
-	// topology (what the cache reflects) cannot change mid-window.
-	//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 	nd.peerList = nd.peerList[:0]
 	for i := range nd.peerTab {
 		if nd.peerTab[i].id != 0 {
-			//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 			nd.peerList = append(nd.peerList, peerRef{id: nd.peerTab[i].id, pos: int32(i), node: nd.peerTab[i].node})
 		}
 	}
@@ -292,7 +277,6 @@ func (nd *Node) sortedPeers() []peerRef {
 			return 0
 		}
 	})
-	//bcbptlint:allow partiso — per-node cache rebuilt only by the owning partition's handlers
 	nd.peersValid = true
 	return nd.peerList
 }
@@ -519,12 +503,10 @@ func (nd *Node) acceptTx(tx *chain.Tx, from NodeID) error {
 	e.seenAt = nd.now()
 	nd.storeTx(hi, tx)
 	e.reqGen = 0
-	if tr := nd.dctx.trace; tr != nil {
+	if tr := nd.net.dc.trace; tr != nil {
 		tr.Record(obs.Event{At: nd.now(), Kind: obs.KindFirstSeen, P1: uint64(nd.id), P2: hashPrefix(id)})
 	}
 	if nd.net.OnTxFirstSeen != nil {
-		// In parallel mode this fires concurrently from partition
-		// workers; the hook must be safe for concurrent use.
 		nd.net.OnTxFirstSeen(nd.id, id, nd.now())
 	}
 	nd.announce(hi, id, from)
@@ -553,11 +535,11 @@ func (nd *Node) announce(hi int32, h chain.Hash, except NodeID) {
 		if direct {
 			if tx, ok := nd.txFor(hi); ok {
 				nd.setHolderBit(hi, ref.pos)
-				nd.net.deliver(nd, ref.node, nd.dctx.newTxMsg(tx))
+				nd.net.deliver(nd, ref.node, nd.net.dc.newTxMsg(tx))
 				continue
 			}
 		}
-		nd.net.deliver(nd, ref.node, nd.dctx.newInv(wire.InvTx, h))
+		nd.net.deliver(nd, ref.node, nd.net.dc.newInv(wire.InvTx, h))
 	}
 }
 
@@ -573,7 +555,7 @@ func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
 	case *wire.MsgBlock:
 		nd.handleBlock(from, m)
 	case *wire.MsgPing:
-		nd.net.send(nd.id, from, nd.dctx.newPong(m.Nonce))
+		nd.net.send(nd.id, from, nd.net.dc.newPong(m.Nonce))
 	case *wire.MsgPong:
 		nd.handlePong(from, m)
 	case *wire.MsgGetAddr:
@@ -597,7 +579,7 @@ func (nd *Node) handleMessage(from NodeID, msg wire.Message) {
 func (nd *Node) handleInv(from NodeID, m *wire.MsgInv) {
 	var blocks []wire.InvVect
 	fromPos := nd.peerPos(from)
-	want := nd.dctx.newGetData()
+	want := nd.net.dc.newGetData()
 	for _, item := range m.Items {
 		if item.Type == wire.InvBlock {
 			blocks = append(blocks, item)
@@ -619,7 +601,7 @@ func (nd *Node) handleInv(from NodeID, m *wire.MsgInv) {
 	if len(want.Items) > 0 {
 		nd.net.send(nd.id, from, want)
 	} else {
-		nd.dctx.recycleMessage(want)
+		nd.net.dc.recycleMessage(want)
 	}
 	if len(blocks) > 0 {
 		nd.handleBlockInv(from, fromPos, blocks)
@@ -638,12 +620,12 @@ func (nd *Node) handleGetData(from NodeID, m *wire.MsgGetData) {
 		case wire.InvTx:
 			if tx, ok := nd.txFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.net.send(nd.id, from, nd.dctx.newTxMsg(tx))
+				nd.net.send(nd.id, from, nd.net.dc.newTxMsg(tx))
 			}
 		case wire.InvBlock:
 			if b, ok := nd.blockFor(hi); ok {
 				nd.markPeerHas(from, fromPos, hi)
-				nd.net.send(nd.id, from, nd.dctx.newBlockMsg(b))
+				nd.net.send(nd.id, from, nd.net.dc.newBlockMsg(b))
 			}
 		}
 	}
@@ -664,7 +646,7 @@ func (nd *Node) handleTx(from NodeID, m *wire.MsgTx) {
 		utxoLen = nd.mempool.Len()
 	}
 	cost := nd.net.cfg.VerifyCost.TxCost(tx, utxoLen)
-	nd.dctx.sched.AfterCall(cost, runVerify, nd.dctx.newVerifyJob(nd.net, nd.id, from, tx, nil))
+	nd.net.sched.AfterCall(cost, runVerify, nd.net.dc.newVerifyJob(nd.net, nd.id, from, tx, nil))
 }
 
 // --- ping measurement ---
@@ -680,7 +662,7 @@ func (nd *Node) Probe(target NodeID, done func(rtt time.Duration)) {
 	if pad < 0 {
 		pad = 0
 	}
-	nd.net.send(nd.id, target, nd.dctx.newPing(nonce, pad))
+	nd.net.send(nd.id, target, nd.net.dc.newPing(nonce, pad))
 }
 
 // ProbeN sends n pings spaced by gap and calls done once all have
@@ -708,7 +690,7 @@ func (nd *Node) ProbeN(target NodeID, n int, gap time.Duration, done func(est *l
 		}
 	}
 	for i := 0; i < n; i++ {
-		nd.dctx.sched.AfterCall(time.Duration(i)*gap, runProbe, nd.dctx.newProbeJob(net, slot, id, target, onPong))
+		nd.net.sched.AfterCall(time.Duration(i)*gap, runProbe, nd.net.dc.newProbeJob(net, slot, id, target, onPong))
 	}
 }
 

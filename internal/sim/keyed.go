@@ -2,13 +2,10 @@ package sim
 
 // Keyed (counter-less) randomness for order-independent draws.
 //
-// The serial kernel can draw every random number from shared sequential
-// streams because it dispatches events in one global order. A partitioned
-// kernel cannot: two partitions executing concurrently would race on the
-// stream and the draw order — and therefore every downstream byte — would
-// depend on goroutine interleaving. KeyedSource solves this by deriving
-// each draw sequence from a stable key (for example (seed, sender, send
-// sequence number)) instead of from global draw order: any execution order
+// A draw from a shared sequential stream depends on every draw made
+// before it, so its value changes whenever the order of unrelated events
+// does. KeyedSource instead derives each draw sequence from a stable key
+// (for example (seed, sender, send sequence number)): any execution order
 // that performs the same logical draws produces the same values.
 //
 // The generator is splitmix64 (Steele, Lea & Flood, "Fast Splittable
@@ -22,8 +19,7 @@ package sim
 
 // KeyedSource is a splitmix64 generator implementing rand.Source64. It is
 // valid when zero-keyed but is intended to be re-keyed before each logical
-// draw group via SeedKey. Not safe for concurrent use; embed one per
-// dispatch context.
+// draw group via SeedKey. Not safe for concurrent use.
 type KeyedSource struct {
 	state uint64
 }
