@@ -304,9 +304,9 @@ func BenchmarkFlood2000Traced(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer built.Close()
-	tracer := obs.NewTracer(obs.DefaultShardEvents, 1)
+	tracer := obs.NewTracer(obs.DefaultShardEvents)
 	built.Net.EnableTrace(tracer)
-	built.Measurer.Trace = tracer.Shard(0)
+	built.Measurer.Trace = tracer.Shard()
 	key, err := chain.GenerateKey(rand.New(rand.NewSource(99)))
 	if err != nil {
 		b.Fatal(err)

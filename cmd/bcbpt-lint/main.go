@@ -69,11 +69,9 @@ func printVersion() {
 // build cache and runs the suite.
 func standalone(args []string) int {
 	fs := flag.NewFlagSet("bcbpt-lint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 instead of text")
 	ghOut := fs.Bool("github", false, "emit findings as GitHub workflow-command annotations instead of text")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: bcbpt-lint [-json|-sarif|-github] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: bcbpt-lint [-github] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -100,20 +98,9 @@ func standalone(args []string) int {
 		}
 		found = append(found, diags...)
 	}
-	switch {
-	case *jsonOut:
-		if err := writeJSON(os.Stdout, found); err != nil {
-			fmt.Fprintf(os.Stderr, "bcbpt-lint: %v\n", err)
-			return 1
-		}
-	case *sarifOut:
-		if err := writeSARIF(os.Stdout, found); err != nil {
-			fmt.Fprintf(os.Stderr, "bcbpt-lint: %v\n", err)
-			return 1
-		}
-	case *ghOut:
+	if *ghOut {
 		writeGitHub(os.Stdout, found)
-	default:
+	} else {
 		for _, d := range found {
 			fmt.Println(d)
 		}

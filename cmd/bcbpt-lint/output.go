@@ -1,129 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
-	"repro/internal/lint"
 	"repro/internal/lint/analysis"
 )
 
-// Standalone output formats beyond the default one-line-per-finding
-// text: -json for tooling, -sarif for code-scanning uploads, -github
-// for workflow-command annotations on pull requests. All three render
-// the same []analysis.Diagnostic the text mode prints.
-
-// jsonDiag is the -json wire form of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// SARIF 2.1.0, minimal profile: one run, one rule per analyzer, one
-// result per finding. Enough for `github/codeql-action/upload-sarif`
-// and editor SARIF viewers.
-
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func writeSARIF(w io.Writer, diags []analysis.Diagnostic) error {
-	var rules []sarifRule
-	for _, a := range lint.Analyzers() {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "error",
-			Message: sarifText{Text: d.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: d.Pos.Filename},
-				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-			}}},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "bcbpt-lint", Rules: rules}}, Results: results}},
-	})
-}
-
-// writeGitHub emits one workflow command per finding; on a pull request
-// these render as inline annotations. Newlines and the %,\r,\n control
-// characters must be escaped per the workflow-command grammar.
+// writeGitHub emits one workflow command per finding (the -github
+// output format); on a pull request these render as inline annotations.
+// Newlines and the %,\r,\n control characters must be escaped per the
+// workflow-command grammar.
 func writeGitHub(w io.Writer, diags []analysis.Diagnostic) {
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
 	for _, d := range diags {

@@ -133,11 +133,11 @@ type Stats struct {
 	Migrations uint64
 }
 
-// BCBPT drives the protocol across the whole simulated network. The
-// central membership registry represents the aggregate of per-node views:
-// joins are serialized through JOIN/CLUSTER wire messages, so every
-// registry transition corresponds to a message a real deployment would
-// also have seen.
+// BCBPT drives the protocol across the whole simulated network. Its
+// cluster registry (the topology.Membership it shares with LBC)
+// represents the aggregate of per-node views: joins are serialized
+// through JOIN/CLUSTER wire messages, so every registry transition
+// corresponds to a message a real deployment would also have seen.
 type BCBPT struct {
 	net  *p2p.Network
 	seed *topology.DNSSeed
@@ -156,9 +156,8 @@ type BCBPT struct {
 	// arrivals) fall back to a live DNS recommendation.
 	recs map[p2p.NodeID][]p2p.NodeID
 
-	clusterOf map[p2p.NodeID]ClusterID
-	members   map[ClusterID][]p2p.NodeID
-	nextID    ClusterID
+	clusters *topology.Membership[ClusterID]
+	nextID   ClusterID
 
 	joining map[p2p.NodeID]bool
 
@@ -174,21 +173,18 @@ func New(net *p2p.Network, seed *topology.DNSSeed, cfg Config) (*BCBPT, error) {
 	}
 	intra := cfg.IntraLinks
 	if intra <= 0 {
-		intra = net.Config().MaxOutbound - cfg.LongLinks
-		if intra < 1 {
-			intra = 1
-		}
+		intra = max(1, net.Config().MaxOutbound-cfg.LongLinks)
 	}
+	r := net.Streams().Stream("topology/bcbpt")
 	return &BCBPT{
-		net:       net,
-		seed:      seed,
-		cfg:       cfg,
-		r:         net.Streams().Stream("topology/bcbpt"),
-		intra:     intra,
-		workers:   runtime.GOMAXPROCS(0),
-		clusterOf: make(map[p2p.NodeID]ClusterID),
-		members:   make(map[ClusterID][]p2p.NodeID),
-		joining:   make(map[p2p.NodeID]bool),
+		net:      net,
+		seed:     seed,
+		cfg:      cfg,
+		r:        r,
+		intra:    intra,
+		workers:  runtime.GOMAXPROCS(0),
+		clusters: topology.NewMembership[ClusterID](net, r),
+		joining:  make(map[p2p.NodeID]bool),
 	}, nil
 }
 
@@ -212,22 +208,13 @@ func (b *BCBPT) Stats() Stats { return b.stats }
 func (b *BCBPT) Config() Config { return b.cfg }
 
 // ClusterOf returns the cluster of a node (0, false if not yet clustered).
-func (b *BCBPT) ClusterOf(id p2p.NodeID) (ClusterID, bool) {
-	c, ok := b.clusterOf[id]
-	return c, ok
-}
+func (b *BCBPT) ClusterOf(id p2p.NodeID) (ClusterID, bool) { return b.clusters.Of(id) }
 
 // Clusters returns a copy of the membership map.
-func (b *BCBPT) Clusters() map[ClusterID][]p2p.NodeID {
-	out := make(map[ClusterID][]p2p.NodeID, len(b.members))
-	for k, v := range b.members {
-		out[k] = append([]p2p.NodeID(nil), v...)
-	}
-	return out
-}
+func (b *BCBPT) Clusters() map[ClusterID][]p2p.NodeID { return b.clusters.Snapshot() }
 
 // NumClustered returns how many nodes have completed clustering.
-func (b *BCBPT) NumClustered() int { return len(b.clusterOf) }
+func (b *BCBPT) NumClustered() int { return b.clusters.Len() }
 
 // lanesFor resolves the effective join-lane width for an n-node
 // bootstrap: the configured JoinLanes, or a population-derived default —
@@ -349,7 +336,7 @@ func (b *BCBPT) OnJoin(id p2p.NodeID) {
 // no protocol action beyond forgetting the node.
 func (b *BCBPT) OnLeave(id p2p.NodeID) {
 	b.seed.Remove(id)
-	b.unassign(id)
+	b.clusters.Unassign(id)
 	delete(b.joining, id)
 }
 
@@ -357,48 +344,17 @@ func (b *BCBPT) OnLeave(id p2p.NodeID) {
 // cluster links and long links.
 func (b *BCBPT) OnDisconnect(x, y p2p.NodeID) {
 	if _, ok := b.net.Node(x); ok {
-		b.fill(x)
+		b.fill(x, nil)
 	}
 	if _, ok := b.net.Node(y); ok {
-		b.fill(y)
-	}
-}
-
-// --- membership registry ---
-
-func (b *BCBPT) assign(id p2p.NodeID, c ClusterID) {
-	b.unassign(id)
-	b.clusterOf[id] = c
-	m := b.members[c]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	m = append(m, 0)
-	copy(m[i+1:], m[i:])
-	m[i] = id
-	b.members[c] = m
-}
-
-func (b *BCBPT) unassign(id p2p.NodeID) {
-	c, ok := b.clusterOf[id]
-	if !ok {
-		return
-	}
-	delete(b.clusterOf, id)
-	m := b.members[c]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	if i < len(m) && m[i] == id {
-		m = append(m[:i], m[i+1:]...)
-	}
-	if len(m) == 0 {
-		delete(b.members, c)
-	} else {
-		b.members[c] = m
+		b.fill(y, nil)
 	}
 }
 
 // found creates a fresh cluster containing only id.
 func (b *BCBPT) found(id p2p.NodeID) {
 	b.nextID++
-	b.assign(id, b.nextID)
+	b.clusters.Assign(id, b.nextID)
 	b.stats.Founded++
 }
 
@@ -413,7 +369,7 @@ func (b *BCBPT) startJoin(id p2p.NodeID) {
 	if b.joining[id] {
 		return
 	}
-	if _, clustered := b.clusterOf[id]; clustered {
+	if _, clustered := b.clusters.Of(id); clustered {
 		return
 	}
 	b.joining[id] = true
@@ -452,7 +408,7 @@ func (b *BCBPT) candidates(id p2p.NodeID, loc geo.Location) []p2p.NodeID {
 	}
 	out := make([]p2p.NodeID, 0, b.cfg.Candidates)
 	for _, r := range recs {
-		if _, clustered := b.clusterOf[r]; !clustered {
+		if _, clustered := b.clusters.Of(r); !clustered {
 			continue
 		}
 		out = append(out, r)
@@ -471,7 +427,7 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 		delete(b.joining, id)
 		return
 	}
-	if _, clustered := b.clusterOf[id]; clustered {
+	if _, clustered := b.clusters.Of(id); clustered {
 		delete(b.joining, id)
 		return
 	}
@@ -512,7 +468,7 @@ func (b *BCBPT) decide(id p2p.NodeID, cands []p2p.NodeID) {
 	// If the CLUSTER reply never arrives (K churned away), fall back to
 	// founding a cluster.
 	b.net.Scheduler().After(b.cfg.DecisionSlack, func() {
-		if _, clustered := b.clusterOf[id]; !clustered && b.joining[id] {
+		if _, clustered := b.clusters.Of(id); !clustered && b.joining[id] {
 			if _, alive := b.net.Node(id); alive {
 				b.finishJoin(id, 0, nil)
 			} else {
@@ -533,9 +489,9 @@ func (b *BCBPT) finishJoin(id p2p.NodeID, cluster ClusterID, members []p2p.NodeI
 	if cluster == 0 {
 		b.found(id)
 	} else {
-		b.assign(id, cluster)
+		b.clusters.Assign(id, cluster)
 	}
-	b.fillWith(id, members)
+	b.fill(id, members)
 }
 
 // --- wire message handling (JOIN / CLUSTER) ---
@@ -560,7 +516,7 @@ func (b *BCBPT) handleJoin(self, from p2p.NodeID, m *wire.MsgJoin) {
 	if !ok {
 		return
 	}
-	cluster, clustered := b.clusterOf[self]
+	cluster, clustered := b.clusters.Of(self)
 	rtt := time.Duration(m.MeasuredRTTMicros) * time.Microsecond
 	if !clustered || rtt >= b.cfg.Threshold {
 		b.stats.Rejects++
@@ -570,7 +526,7 @@ func (b *BCBPT) handleJoin(self, from p2p.NodeID, m *wire.MsgJoin) {
 	b.stats.Joins++
 	// Sample members for the reply ("a list of IPs of nodes that belong
 	// to the same cluster", §IV.B), capped to keep the message bounded.
-	all := b.members[cluster]
+	all := b.clusters.Members(cluster)
 	sample := make([]wire.NetAddr, 0, min(len(all), b.cfg.MemberSample))
 	if len(all) <= b.cfg.MemberSample {
 		for _, mID := range all {
@@ -595,7 +551,7 @@ func (b *BCBPT) handleCluster(self, from p2p.NodeID, m *wire.MsgCluster) {
 	if !b.joining[self] {
 		return // late or duplicate reply
 	}
-	if _, clustered := b.clusterOf[self]; clustered {
+	if _, clustered := b.clusters.Of(self); clustered {
 		return
 	}
 	if !m.Accepted {
@@ -614,82 +570,10 @@ func (b *BCBPT) handleCluster(self, from p2p.NodeID, m *wire.MsgCluster) {
 
 // --- link management ---
 
-// fill restores a node's intra and long link targets using the registry.
-func (b *BCBPT) fill(id p2p.NodeID) { b.fillWith(id, nil) }
-
-// fillWith connects a node to preferred members first (the CLUSTER list,
+// fill connects a node to preferred members first (the CLUSTER list,
 // closest node K at the head), then random cluster members, then long
-// links outside the cluster.
-func (b *BCBPT) fillWith(id p2p.NodeID, preferred []p2p.NodeID) {
-	node, ok := b.net.Node(id)
-	if !ok {
-		return
-	}
-	cluster, clustered := b.clusterOf[id]
-	if !clustered {
-		return
-	}
-	for _, m := range preferred {
-		if b.intraCount(node, cluster) >= b.intra {
-			break
-		}
-		if b.clusterOf[m] == cluster {
-			_ = b.net.Connect(id, m)
-		}
-	}
-	mates := b.members[cluster]
-	attempts := 0
-	maxAttempts := 10 * b.intra
-	target := b.intra
-	if len(mates)-1 < target {
-		target = len(mates) - 1
-	}
-	for b.intraCount(node, cluster) < target && attempts < maxAttempts {
-		attempts++
-		m := mates[b.r.Intn(len(mates))]
-		if m == id {
-			continue
-		}
-		_ = b.net.Connect(id, m)
-	}
-	// Long links: "each node maintains a few long distance links to the
-	// outside cluster" (§IV).
-	all := b.seed.All()
-	attempts = 0
-	maxAttempts = 10 * b.cfg.LongLinks
-	for b.longCount(node, cluster) < b.cfg.LongLinks && attempts < maxAttempts {
-		attempts++
-		m := all[b.r.Intn(len(all))]
-		if m == id || b.clusterOf[m] == cluster {
-			continue
-		}
-		_ = b.net.Connect(id, m)
-	}
-}
-
-func (b *BCBPT) intraCount(node *p2p.Node, cluster ClusterID) int {
-	c := 0
-	for _, p := range node.Peers() {
-		if b.clusterOf[p] == cluster {
-			c++
-		}
-	}
-	return c
-}
-
-func (b *BCBPT) longCount(node *p2p.Node, cluster ClusterID) int {
-	c := 0
-	for _, p := range node.Peers() {
-		if b.clusterOf[p] != cluster {
-			c++
-		}
-	}
-	return c
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// links outside the cluster ("each node maintains a few long distance
+// links to the outside cluster", §IV).
+func (b *BCBPT) fill(id p2p.NodeID, preferred []p2p.NodeID) {
+	b.clusters.Fill(id, preferred, b.intra, b.cfg.LongLinks, b.seed.All())
 }

@@ -358,7 +358,7 @@ func TestMaintenanceMigratesMisplacedNode(t *testing.T) {
 	// Pick a member of big[0] and graft it into big[1]'s registry (a
 	// "misplacement" as could arise from stale measurements).
 	victim := proto.Clusters()[big[0]][0]
-	proto.assign(victim, big[1])
+	proto.clusters.Assign(victim, big[1])
 
 	tick := proto.StartMaintenance(50 * time.Millisecond)
 	defer tick.Stop()

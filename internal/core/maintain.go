@@ -36,14 +36,14 @@ func (b *BCBPT) reevaluate(id p2p.NodeID) {
 	if !ok {
 		return
 	}
-	cluster, clustered := b.clusterOf[id]
+	cluster, clustered := b.clusters.Of(id)
 	if !clustered || b.joining[id] {
 		return
 	}
 	cands := b.candidates(id, node.Location())
 	var outside []p2p.NodeID
 	for _, c := range cands {
-		if b.clusterOf[c] != cluster {
+		if k, _ := b.clusters.Of(c); k != cluster {
 			outside = append(outside, c)
 		}
 	}
@@ -70,7 +70,7 @@ func (b *BCBPT) maybeMigrate(id p2p.NodeID, outside []p2p.NodeID) {
 	if !ok {
 		return
 	}
-	cluster, clustered := b.clusterOf[id]
+	cluster, clustered := b.clusters.Of(id)
 	if !clustered || b.joining[id] {
 		return
 	}
@@ -89,21 +89,21 @@ func (b *BCBPT) maybeMigrate(id p2p.NodeID, outside []p2p.NodeID) {
 	if best == 0 || bestRTT >= b.cfg.Threshold || (current > 0 && bestRTT >= current) {
 		return
 	}
-	targetCluster, ok := b.clusterOf[best]
+	targetCluster, ok := b.clusters.Of(best)
 	if !ok || targetCluster == cluster {
 		return
 	}
 	// Migrate: switch registry membership first so any refill triggered
 	// by the disconnects below wires into the NEW cluster, then drop the
 	// old intra-cluster links.
-	b.assign(id, targetCluster)
+	b.clusters.Assign(id, targetCluster)
 	b.stats.Migrations++
 	for _, p := range node.Peers() {
-		if b.clusterOf[p] == cluster {
+		if k, _ := b.clusters.Of(p); k == cluster {
 			b.net.Disconnect(id, p)
 		}
 	}
-	b.fillWith(id, []p2p.NodeID{best})
+	b.fill(id, []p2p.NodeID{best})
 }
 
 // bestIntraRTT returns the smallest RTT estimate the node holds for a
@@ -111,7 +111,7 @@ func (b *BCBPT) maybeMigrate(id p2p.NodeID, outside []p2p.NodeID) {
 func (b *BCBPT) bestIntraRTT(node *p2p.Node, cluster ClusterID) time.Duration {
 	var best time.Duration
 	for _, p := range node.Peers() {
-		if b.clusterOf[p] != cluster {
+		if k, _ := b.clusters.Of(p); k != cluster {
 			continue
 		}
 		est, ok := node.Estimator(p)

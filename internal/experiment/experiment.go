@@ -219,7 +219,7 @@ func (b *Built) build(ctx context.Context, spec Spec) error {
 			return err
 		}
 	case ProtoLBC:
-		b.Protocol = topology.NewLBC(net, seed, topology.LBCConfig{})
+		b.Protocol = topology.NewLBC(net, seed)
 		if err := b.Protocol.Bootstrap(ctx, ids); err != nil {
 			return err
 		}

@@ -11,39 +11,55 @@ import (
 )
 
 // TestFigure3CSVGolden pins the figure3 smoke sweep (the fleetsmoke.sh
-// parameters) byte-for-byte against a checked-in golden CSV. This is the
-// end-to-end determinism contract: topology bootstrap, flood relay,
-// measurement and CSV rendering must all be bit-stable — across code
-// changes (the flat node layout was landed under this pin) and across
-// toolchains (the CI oldstable matrix leg runs it too). If an
-// intentional behaviour change moves the numbers, regenerate with:
+// parameters) byte-for-byte against checked-in golden CSVs, once over
+// static overlays and once under churn. This is the end-to-end
+// determinism contract: topology bootstrap, flood relay, measurement and
+// CSV rendering must all be bit-stable — across code changes (the flat
+// node layout was landed under this pin) and across toolchains (the CI
+// oldstable matrix leg runs it too). The churn case also pins the
+// protocols' join, leave and refill paths. If an intentional behaviour
+// change moves the numbers, regenerate with:
 //
 //	go run ./cmd/bcbpt-sim -experiment figure3 -nodes 120 -runs 5 \
 //	  -replications 2 -seed 1 -csv internal/experiment/testdata/figure3_smoke_golden.csv
+//	go run ./cmd/bcbpt-sim -experiment figure3 -nodes 120 -runs 5 \
+//	  -replications 2 -seed 1 -churn -csv internal/experiment/testdata/figure3_churn_smoke_golden.csv
 func TestFigure3CSVGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication sweep; skipped in -short")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "figure3_smoke_golden.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig, err := Figure3Ctx(context.Background(), Options{
-		Nodes:        120,
-		Runs:         5,
-		Replications: 2,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := fig.WriteCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("figure3 CSV diverged from golden (%d bytes vs %d): first differing region:\n%s",
-			got.Len(), len(want), firstDiff(got.Bytes(), want))
+	for _, tc := range []struct {
+		name   string
+		churn  bool
+		golden string
+	}{
+		{"static", false, "figure3_smoke_golden.csv"},
+		{"churn", true, "figure3_churn_smoke_golden.csv"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fig, err := Figure3Ctx(context.Background(), Options{
+				Nodes:        120,
+				Runs:         5,
+				Replications: 2,
+				Seed:         1,
+				ChurnOn:      tc.churn,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := fig.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("figure3 CSV diverged from %s (%d bytes vs %d): first differing region:\n%s",
+					tc.golden, got.Len(), len(want), firstDiff(got.Bytes(), want))
+			}
+		})
 	}
 }
 

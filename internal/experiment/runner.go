@@ -299,9 +299,9 @@ func RunUnitObserved(ctx context.Context, cs CampaignSpec, rep int, clock func()
 	defer b.Close()
 	var tracer *obs.Tracer
 	if cs.Trace != "" && rep == 0 {
-		tracer = obs.NewTracer(obs.DefaultShardEvents, 1)
+		tracer = obs.NewTracer(obs.DefaultShardEvents)
 		b.Net.EnableTrace(tracer)
-		b.Measurer.Trace = tracer.Shard(0)
+		b.Measurer.Trace = tracer.Shard()
 	}
 	if clock != nil {
 		t0 = clock()

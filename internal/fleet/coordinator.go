@@ -45,10 +45,10 @@ type CoordinatorConfig struct {
 	// gigabytes of samples. The directory is created if missing.
 	SpoolDir string
 	// Trace, when non-nil, records the queue's lease lifecycle — grant,
-	// renew, expiry reassignment, commit — onto the tracer's shard 0,
+	// renew, expiry reassignment, commit — onto the tracer's ring,
 	// stamped with wall time (the fleet runs in real time; there is no
 	// simulation clock here). Every record happens under the queue mutex,
-	// which is what makes the single-writer shard discipline hold across
+	// which is what makes the ring's single-writer discipline hold across
 	// concurrent HTTP handlers.
 	Trace *obs.Tracer
 	// now stubs the clock in tests.
@@ -134,7 +134,7 @@ func NewCoordinator(campaigns []experiment.CampaignSpec, cfg CoordinatorConfig) 
 		done:      make(chan struct{}),
 	}
 	if c.cfg.Trace != nil {
-		c.trace = c.cfg.Trace.Shard(0)
+		c.trace = c.cfg.Trace.Shard()
 	}
 	for i, cs := range campaigns {
 		if err := cs.CheckShippable(); err != nil {

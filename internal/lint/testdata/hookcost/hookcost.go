@@ -45,7 +45,7 @@ func clean(p *Probe, tr *obs.Tracer) {
 	}
 	// Tracer.Shard returns a valid shard by contract: locals bound from
 	// it need no guard.
-	sh := tr.Shard(0)
+	sh := tr.Shard()
 	sh.Record(obs.Event{P1: 4})
 	// Guard facts survive into closures built on the guarded path.
 	if p.OnDrop != nil {

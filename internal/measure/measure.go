@@ -53,10 +53,9 @@ type MeasuringNode struct {
 
 	// Trace, when non-nil, records one KindInject event per measurement
 	// run (the injected transaction's hash prefix and run index, stamped
-	// at the injection's simulation time). Point it at the driving
-	// goroutine's shard — obs shard 0 by convention — alongside
-	// Network.EnableTrace; nil keeps measurement byte-for-byte free of
-	// observability work.
+	// at the injection's simulation time). Point it at the ring of the
+	// tracer passed to Network.EnableTrace (Tracer.Shard); nil keeps
+	// measurement byte-for-byte free of observability work.
 	Trace *obs.Shard
 
 	// runIndex counts MeasureOnce calls for the inject event's P3.

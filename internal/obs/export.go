@@ -36,7 +36,7 @@ func eventCat(k Kind) string {
 	}
 }
 
-// WriteTraceJSON exports the merged event stream as Chrome trace_event
+// WriteTraceJSON exports the ordered event stream as Chrome trace_event
 // JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 // Timestamps are microseconds of simulation time; events recorded
 // outside the simulation (At zero, Wall set) fall back to wall time
@@ -111,7 +111,7 @@ const spoolMagic = "BCBPTTR1"
 
 const spoolRecordSize = 8*5 + 2
 
-// WriteSpool exports the merged event stream in the compact binary
+// WriteSpool exports the ordered event stream in the compact binary
 // spool format.
 func (t *Tracer) WriteSpool(w io.Writer) error {
 	events := t.Events()

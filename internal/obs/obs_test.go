@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,8 +34,8 @@ func (f *fakeSketch) Max() time.Duration                 { return f.max }
 func (f *fakeSketch) Percentile(p float64) time.Duration { return f.max }
 
 func TestShardRingWrap(t *testing.T) {
-	tr := NewTracer(4, 1)
-	s := tr.Shard(0)
+	tr := NewTracer(4)
+	s := tr.Shard()
 	for i := 0; i < 10; i++ {
 		s.Record(Event{At: time.Duration(i), Kind: KindSend, P1: uint64(i)})
 	}
@@ -56,30 +57,28 @@ func TestShardRingWrap(t *testing.T) {
 	}
 }
 
-func TestTracerMergeCanonicalOrder(t *testing.T) {
-	tr := NewTracer(16, 3)
-	// Interleave: shard 2 records earlier sim times than shard 1.
-	tr.Shard(1).Record(Event{At: 30, Kind: KindDeliver, P1: 1})
-	tr.Shard(2).Record(Event{At: 10, Kind: KindSend, P1: 2})
-	tr.Shard(0).Record(Event{At: 20, Kind: KindInject, P1: 3})
-	tr.Shard(2).Record(Event{At: 20, Kind: KindDeliver, P1: 4})
-	events := tr.Events()
+func TestTracerEventsCanonicalOrder(t *testing.T) {
+	tr := NewTracer(16)
+	s := tr.Shard()
+	// Out of sim-time order, with ties on At (broken by Wall) and on
+	// (At, Wall) (broken by record order).
+	s.Record(Event{At: 30, Kind: KindDeliver, P1: 1})
+	s.Record(Event{At: 20, Wall: 9, Kind: KindSend, P1: 2})
+	s.Record(Event{At: 10, Kind: KindSend, P1: 3})
+	s.Record(Event{At: 20, Wall: 5, Kind: KindInject, P1: 4})
+	s.Record(Event{At: 20, Wall: 9, Kind: KindDeliver, P1: 5})
 	var order []uint64
-	for _, ev := range events {
+	for _, ev := range tr.Events() {
 		order = append(order, ev.P1)
 	}
-	// Sort by At, ties broken by shard ID (shard 0 before shard 2).
-	want := []uint64{2, 3, 4, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("merge order = %v, want %v", order, want)
-		}
+	if want := []uint64{3, 4, 2, 5, 1}; !slices.Equal(order, want) {
+		t.Fatalf("event order = %v, want %v", order, want)
 	}
 }
 
 func TestTracerReset(t *testing.T) {
-	tr := NewTracer(8, 2)
-	tr.Shard(1).Record(Event{At: 1, Kind: KindSend})
+	tr := NewTracer(8)
+	tr.Shard().Record(Event{At: 1, Kind: KindSend})
 	tr.Reset()
 	if tr.Len() != 0 || len(tr.Events()) != 0 {
 		t.Fatalf("Reset left %d events", tr.Len())
@@ -87,8 +86,8 @@ func TestTracerReset(t *testing.T) {
 }
 
 func TestWriteTraceJSONShape(t *testing.T) {
-	tr := NewTracer(16, 1)
-	s := tr.Shard(0)
+	tr := NewTracer(16)
+	s := tr.Shard()
 	s.Record(Event{At: 1500 * time.Nanosecond, Kind: KindSend, Code: 3, P1: 1, P2: 2, P3: 61})
 	s.Record(Event{At: 2 * time.Microsecond, Kind: KindFirstSeen, P1: 9, P2: 5000})
 	s.Record(Event{Wall: 12345, Kind: KindLeaseGrant, P1: 7})
@@ -165,9 +164,9 @@ func TestKindNumbersPinned(t *testing.T) {
 }
 
 func TestSpoolRoundTrip(t *testing.T) {
-	tr := NewTracer(16, 2)
-	tr.Shard(0).Record(Event{At: 5, Kind: KindFirstSeen, P1: 9, P2: 0xdeadbeef})
-	tr.Shard(1).Record(Event{At: 3, Wall: 77, Kind: KindDeliver, Code: 4, P1: 1, P2: 2, P3: 3})
+	tr := NewTracer(16)
+	tr.Shard().Record(Event{At: 5, Kind: KindFirstSeen, P1: 9, P2: 0xdeadbeef})
+	tr.Shard().Record(Event{At: 3, Wall: 77, Kind: KindDeliver, Code: 4, P1: 1, P2: 2, P3: 3})
 	var buf bytes.Buffer
 	if err := tr.WriteSpool(&buf); err != nil {
 		t.Fatal(err)
@@ -191,8 +190,8 @@ func TestSpoolRoundTrip(t *testing.T) {
 }
 
 func TestRecordDoesNotAllocate(t *testing.T) {
-	tr := NewTracer(1024, 1)
-	s := tr.Shard(0)
+	tr := NewTracer(1024)
+	s := tr.Shard()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Record(Event{At: 1, Kind: KindSend, Code: 2, P1: 3, P2: 4, P3: 5})
 	})

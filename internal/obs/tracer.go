@@ -2,16 +2,15 @@ package obs
 
 import "sort"
 
-// Shard is a single-writer ring buffer of trace events. Exactly one
-// goroutine may call Record on a given shard at a time; the simulation
-// (dispatch and measurement) records on shard 0.
+// Shard is the single-writer ring buffer of trace events a Tracer
+// owns. Exactly one goroutine may call Record at a time; the simulation
+// (dispatch and measurement) records from its one event loop.
 //
 // Record never allocates and never blocks: when the ring is full the
 // oldest event is overwritten and counted as dropped. Capacity is
 // rounded up to a power of two so the ring index is a mask, not a
 // division.
 type Shard struct {
-	id   int
 	buf  []Event
 	mask uint64
 	// n counts every Record call; buf[(n-1)&mask] is the newest event
@@ -26,9 +25,6 @@ func (s *Shard) Record(ev Event) {
 	s.buf[s.n&s.mask] = ev
 	s.n++
 }
-
-// ID returns the shard's index within its Tracer.
-func (s *Shard) ID() int { return s.id }
 
 // Len returns the number of events currently retained.
 func (s *Shard) Len() int {
@@ -61,116 +57,53 @@ func (s *Shard) events(dst []Event) []Event {
 	return append(dst, s.buf[:start]...)
 }
 
-// DefaultShardEvents is the per-shard ring capacity used when the
-// caller does not choose one: 64 Ki events ≈ 3 MiB per shard.
+// DefaultShardEvents is the ring capacity used when the caller does
+// not choose one: 64 Ki events ≈ 3 MiB.
 const DefaultShardEvents = 1 << 16
 
-// Tracer owns a set of shards and merges them into one canonical event
-// stream for export. Create it disabled-by-default infrastructure-side:
-// the hooks it feeds are nil until a shard is handed out, so an absent
-// tracer costs nothing.
+// Tracer owns one ring and exports it as a canonical event stream.
+// Tracing is opt-in: the hooks it feeds stay nil until the ring is
+// handed out, so an absent tracer costs nothing.
 type Tracer struct {
-	shards []*Shard
-	cap    int
+	ring Shard
 }
 
-// NewTracer returns a tracer with the given per-shard ring capacity
-// (rounded up to a power of two; DefaultShardEvents if <= 0) and an
-// initial shard count. Shards grow on demand via Shard.
-func NewTracer(eventsPerShard, shards int) *Tracer {
-	if eventsPerShard <= 0 {
-		eventsPerShard = DefaultShardEvents
+// NewTracer returns a tracer whose ring holds the given number of
+// events, rounded up to a power of two (DefaultShardEvents if <= 0).
+func NewTracer(events int) *Tracer {
+	if events <= 0 {
+		events = DefaultShardEvents
 	}
 	capPow2 := 1
-	for capPow2 < eventsPerShard {
+	for capPow2 < events {
 		capPow2 <<= 1
 	}
-	t := &Tracer{cap: capPow2}
-	t.Shard(shards - 1)
-	return t
+	return &Tracer{ring: Shard{buf: make([]Event, capPow2), mask: uint64(capPow2) - 1}}
 }
 
-// Shard returns shard i, growing the shard set if needed. Growing is a
-// setup-time operation: callers attach shards before a run, never
-// during one.
-func (t *Tracer) Shard(i int) *Shard {
-	for len(t.shards) <= i {
-		t.shards = append(t.shards, &Shard{
-			id:   len(t.shards),
-			buf:  make([]Event, t.cap),
-			mask: uint64(t.cap) - 1,
-		})
-	}
-	return t.shards[i]
-}
+// Shard returns the tracer's ring; it is never nil.
+func (t *Tracer) Shard() *Shard { return &t.ring }
 
-// Shards returns the current shard count.
-func (t *Tracer) Shards() int { return len(t.shards) }
+// Dropped returns how many events were overwritten.
+func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
 
-// Dropped sums overwritten events across shards.
-func (t *Tracer) Dropped() uint64 {
-	var d uint64
-	for _, s := range t.shards {
-		d += s.Dropped()
-	}
-	return d
-}
+// Len returns the number of retained events.
+func (t *Tracer) Len() int { return t.ring.Len() }
 
-// Len sums retained events across shards.
-func (t *Tracer) Len() int {
-	var n int
-	for _, s := range t.shards {
-		n += s.Len()
-	}
-	return n
-}
+// Reset forgets all recorded events.
+func (t *Tracer) Reset() { t.ring.reset() }
 
-// Reset forgets all recorded events on every shard.
-func (t *Tracer) Reset() {
-	for _, s := range t.shards {
-		s.reset()
-	}
-}
-
-// Events merges every shard's retained events into canonical order:
-// ascending sim time, then wall time, then shard ID, then record order
-// within the shard. The order is deterministic for a deterministic
-// simulation, so exported traces diff cleanly across runs.
+// Events returns the retained events in canonical order: ascending sim
+// time, then wall time, then record order. The order is deterministic
+// for a deterministic simulation, so exported traces diff cleanly across
+// runs.
 func (t *Tracer) Events() []Event {
-	type tagged struct {
-		shard int
-		pos   int
-	}
-	var out []Event
-	var tags []tagged
-	for _, s := range t.shards {
-		base := len(out)
-		out = s.events(out)
-		for p := base; p < len(out); p++ {
-			tags = append(tags, tagged{shard: s.id, pos: p - base})
+	out := t.ring.events(nil)
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].At != out[b].At {
+			return out[a].At < out[b].At
 		}
-	}
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ea, eb := out[idx[a]], out[idx[b]]
-		if ea.At != eb.At {
-			return ea.At < eb.At
-		}
-		if ea.Wall != eb.Wall {
-			return ea.Wall < eb.Wall
-		}
-		ta, tb := tags[idx[a]], tags[idx[b]]
-		if ta.shard != tb.shard {
-			return ta.shard < tb.shard
-		}
-		return ta.pos < tb.pos
+		return out[a].Wall < out[b].Wall
 	})
-	sorted := make([]Event, len(out))
-	for i, j := range idx {
-		sorted[i] = out[j]
-	}
-	return sorted
+	return out
 }

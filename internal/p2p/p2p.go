@@ -256,8 +256,8 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) Stats() Stats { return n.dc.stats }
 
 // EnableTrace attaches an event tracer: message send/loss/deliver/drop
-// and inventory first-sight events are recorded into the tracer's shard
-// 0, stamped with simulation time. Tracing is purely observational:
+// and inventory first-sight events are recorded into the tracer's ring,
+// stamped with simulation time. Tracing is purely observational:
 // enabling it changes no schedule, no RNG draw, and no output byte — the
 // golden-CSV tests pin that.
 //
@@ -267,7 +267,7 @@ func (n *Network) EnableTrace(t *obs.Tracer) {
 		n.DisableTrace()
 		return
 	}
-	n.dc.trace = t.Shard(0)
+	n.dc.trace = t.Shard()
 }
 
 // DisableTrace detaches the tracer. Recorded events remain readable on

@@ -46,7 +46,7 @@ func TestTraceObservesWithoutPerturbing(t *testing.T) {
 	netA, nodesA := buildFloodNet(t, n, 3)
 	netB, nodesB := buildFloodNet(t, n, 3)
 
-	tr := obs.NewTracer(1<<14, 1)
+	tr := obs.NewTracer(1 << 14)
 	netB.EnableTrace(tr)
 
 	seenA, statsA := floodOnce(t, netA, nodesA, 7)
@@ -136,7 +136,7 @@ func TestTraceRecordAllocFree(t *testing.T) {
 	}
 	runtime.GC()
 	control := testing.AllocsPerRun(3, flood)
-	tr := obs.NewTracer(1<<12, 1)
+	tr := obs.NewTracer(1 << 12)
 	net.EnableTrace(tr)
 	for i := 0; i < 4; i++ {
 		flood()

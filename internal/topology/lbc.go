@@ -3,8 +3,6 @@ package topology
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"repro/internal/p2p"
 )
@@ -21,60 +19,33 @@ import (
 // geographically close nodes "may be actually quite far from each other in
 // the physical internet"; LBC cannot see that, because it never measures
 // the links it chooses.
+//
+// LBC decides only which cluster a node belongs to; the registry and the
+// link upkeep are the Membership it shares with BCBPT.
 type LBC struct {
-	net  *p2p.Network
-	seed *DNSSeed
-	r    *rand.Rand
-
-	// intra is the target number of same-cluster outbound links.
+	net      *p2p.Network
+	seed     *DNSSeed
+	clusters *Membership[string]
+	// intra is the target number of same-cluster links.
 	intra int
-	// longLinks is the number of out-of-cluster links per node.
-	longLinks int
-	// minCluster merges countries with fewer members into their
-	// continental region cluster.
-	minCluster int
-
-	// members maps cluster key -> sorted member IDs.
-	members map[string][]p2p.NodeID
-	// clusterOf maps node -> cluster key.
-	clusterOf map[p2p.NodeID]string
 }
 
-// LBCConfig parameterises the protocol.
-type LBCConfig struct {
-	// IntraLinks is the target same-cluster outbound degree (default:
-	// MaxOutbound - LongLinks).
-	IntraLinks int
-	// LongLinks is the number of out-of-cluster links (default 2).
-	LongLinks int
-	// MinClusterSize is the smallest viable country cluster; smaller
-	// countries merge into their region (default 8).
-	MinClusterSize int
-}
+const (
+	// lbcLongLinks is the number of out-of-cluster links per node.
+	lbcLongLinks = 2
+	// lbcMinCluster is the smallest viable country cluster; smaller
+	// countries merge into their continental region cluster.
+	lbcMinCluster = 8
+)
 
-// NewLBC creates the protocol.
-func NewLBC(net *p2p.Network, seed *DNSSeed, cfg LBCConfig) *LBC {
-	if cfg.LongLinks <= 0 {
-		cfg.LongLinks = 2
-	}
-	if cfg.IntraLinks <= 0 {
-		cfg.IntraLinks = net.Config().MaxOutbound - cfg.LongLinks
-		if cfg.IntraLinks < 1 {
-			cfg.IntraLinks = 1
-		}
-	}
-	if cfg.MinClusterSize <= 0 {
-		cfg.MinClusterSize = 8
-	}
+// NewLBC creates the protocol. Each node targets MaxOutbound-2
+// same-cluster links (at least 1) plus 2 long links.
+func NewLBC(net *p2p.Network, seed *DNSSeed) *LBC {
 	return &LBC{
-		net:        net,
-		seed:       seed,
-		r:          net.Streams().Stream("topology/lbc"),
-		intra:      cfg.IntraLinks,
-		longLinks:  cfg.LongLinks,
-		minCluster: cfg.MinClusterSize,
-		members:    make(map[string][]p2p.NodeID),
-		clusterOf:  make(map[p2p.NodeID]string),
+		net:      net,
+		seed:     seed,
+		clusters: NewMembership[string](net, net.Streams().Stream("topology/lbc")),
+		intra:    max(1, net.Config().MaxOutbound-lbcLongLinks),
 	}
 }
 
@@ -82,7 +53,7 @@ func NewLBC(net *p2p.Network, seed *DNSSeed, cfg LBCConfig) *LBC {
 func (t *LBC) Name() string { return "lbc" }
 
 // clusterKey picks the cluster for a node: its country, unless the
-// country's population is below MinClusterSize, in which case the
+// country's population is below lbcMinCluster, in which case the
 // continental region.
 func (t *LBC) clusterKey(id p2p.NodeID, countryCount map[string]int) string {
 	node, ok := t.net.Node(id)
@@ -90,7 +61,7 @@ func (t *LBC) clusterKey(id p2p.NodeID, countryCount map[string]int) string {
 		return ""
 	}
 	loc := node.Location()
-	if countryCount[loc.Country] >= t.minCluster {
+	if countryCount[loc.Country] >= lbcMinCluster {
 		return "country/" + loc.Country
 	}
 	return "region/" + loc.Region
@@ -108,8 +79,7 @@ func (t *LBC) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 		}
 	}
 	for _, id := range ids {
-		key := t.clusterKey(id, countryCount)
-		t.assign(id, key)
+		t.clusters.Assign(id, t.clusterKey(id, countryCount))
 	}
 	for i, id := range ids {
 		if i%bootstrapCtxStride == 0 {
@@ -122,50 +92,11 @@ func (t *LBC) Bootstrap(ctx context.Context, ids []p2p.NodeID) error {
 	return nil
 }
 
-// assign records membership, keeping member lists sorted.
-func (t *LBC) assign(id p2p.NodeID, key string) {
-	t.clusterOf[id] = key
-	m := t.members[key]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	m = append(m, 0)
-	copy(m[i+1:], m[i:])
-	m[i] = id
-	t.members[key] = m
-}
-
-// unassign removes membership.
-func (t *LBC) unassign(id p2p.NodeID) {
-	key, ok := t.clusterOf[id]
-	if !ok {
-		return
-	}
-	delete(t.clusterOf, id)
-	m := t.members[key]
-	i := sort.Search(len(m), func(i int) bool { return m[i] >= id })
-	if i < len(m) && m[i] == id {
-		m = append(m[:i], m[i+1:]...)
-	}
-	if len(m) == 0 {
-		delete(t.members, key)
-	} else {
-		t.members[key] = m
-	}
-}
-
 // ClusterOf returns the cluster key for a node.
-func (t *LBC) ClusterOf(id p2p.NodeID) (string, bool) {
-	key, ok := t.clusterOf[id]
-	return key, ok
-}
+func (t *LBC) ClusterOf(id p2p.NodeID) (string, bool) { return t.clusters.Of(id) }
 
 // Clusters returns a copy of the cluster membership map.
-func (t *LBC) Clusters() map[string][]p2p.NodeID {
-	out := make(map[string][]p2p.NodeID, len(t.members))
-	for k, v := range t.members {
-		out[k] = append([]p2p.NodeID(nil), v...)
-	}
-	return out
-}
+func (t *LBC) Clusters() map[string][]p2p.NodeID { return t.clusters.Snapshot() }
 
 // OnJoin implements Protocol: a new node joins the cluster of its country
 // (or region if the country cluster is still too small).
@@ -177,19 +108,19 @@ func (t *LBC) OnJoin(id p2p.NodeID) {
 	loc := node.Location()
 	t.seed.Register(id, loc)
 	key := "country/" + loc.Country
-	if len(t.members[key]) < t.minCluster {
-		if len(t.members["region/"+loc.Region]) > 0 || len(t.members[key]) == 0 {
+	if n := len(t.clusters.Members(key)); n < lbcMinCluster {
+		if len(t.clusters.Members("region/"+loc.Region)) > 0 || n == 0 {
 			key = "region/" + loc.Region
 		}
 	}
-	t.assign(id, key)
+	t.clusters.Assign(id, key)
 	t.fill(id)
 }
 
 // OnLeave implements Protocol.
 func (t *LBC) OnLeave(id p2p.NodeID) {
 	t.seed.Remove(id)
-	t.unassign(id)
+	t.clusters.Unassign(id)
 }
 
 // OnDisconnect implements Protocol: survivors refill their cluster links.
@@ -202,70 +133,9 @@ func (t *LBC) OnDisconnect(a, b p2p.NodeID) {
 	}
 }
 
-// fill opens intra-cluster links up to the target, then long links.
+// fill opens intra-cluster links up to the target, then long links
+// ("each node maintains a few long distance links to the outside
+// cluster", §IV).
 func (t *LBC) fill(id p2p.NodeID) {
-	node, ok := t.net.Node(id)
-	if !ok {
-		return
-	}
-	key := t.clusterOf[id]
-	mates := t.members[key]
-
-	// Intra-cluster: random same-cluster members.
-	attempts := 0
-	maxAttempts := 10 * t.intra
-	intraTarget := t.intra
-	if len(mates)-1 < intraTarget {
-		intraTarget = len(mates) - 1
-	}
-	for t.intraCount(node) < intraTarget && attempts < maxAttempts {
-		attempts++
-		target := mates[t.r.Intn(len(mates))]
-		if target == id {
-			continue
-		}
-		_ = t.net.Connect(id, target)
-	}
-
-	// Long links: random nodes outside the cluster ("each node maintains
-	// a few long distance links to the outside cluster", §IV).
-	all := t.seed.All()
-	attempts = 0
-	maxAttempts = 10 * t.longLinks
-	for t.longCount(node) < t.longLinks && attempts < maxAttempts {
-		attempts++
-		target := all[t.r.Intn(len(all))]
-		if target == id || t.clusterOf[target] == key {
-			continue
-		}
-		_ = t.net.Connect(id, target)
-	}
-}
-
-// intraCount counts connections to same-cluster peers. EachPeer keeps
-// the scan allocation-free: it runs once per connect attempt during
-// bootstrap fill.
-func (t *LBC) intraCount(node *p2p.Node) int {
-	key := t.clusterOf[node.ID()]
-	c := 0
-	node.EachPeer(func(p p2p.NodeID) bool {
-		if t.clusterOf[p] == key {
-			c++
-		}
-		return true
-	})
-	return c
-}
-
-// longCount counts connections leaving the cluster.
-func (t *LBC) longCount(node *p2p.Node) int {
-	key := t.clusterOf[node.ID()]
-	c := 0
-	node.EachPeer(func(p p2p.NodeID) bool {
-		if t.clusterOf[p] != key {
-			c++
-		}
-		return true
-	})
-	return c
+	t.clusters.Fill(id, nil, t.intra, lbcLongLinks, t.seed.All())
 }

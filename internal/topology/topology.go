@@ -8,7 +8,8 @@
 //     which clusters peers by geographic location (country).
 //
 // The paper's contribution, BCBPT, implements the same Protocol interface
-// in internal/core.
+// in internal/core. LBC and BCBPT differ only in how a node picks its
+// cluster; both keep their clusters and links in a Membership.
 package topology
 
 import (

@@ -173,7 +173,7 @@ func TestRandomChurnFlow(t *testing.T) {
 
 func TestLBCClustersByCountry(t *testing.T) {
 	net, ids := buildNetwork(t, 400, 4)
-	proto := NewLBC(net, NewDNSSeed(), LBCConfig{})
+	proto := NewLBC(net, NewDNSSeed())
 	if err := proto.Bootstrap(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestLBCClustersByCountry(t *testing.T) {
 
 func TestLBCMostLinksAreIntraCluster(t *testing.T) {
 	net, ids := buildNetwork(t, 300, 5)
-	proto := NewLBC(net, NewDNSSeed(), LBCConfig{})
+	proto := NewLBC(net, NewDNSSeed())
 	if err := proto.Bootstrap(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLBCMostLinksAreIntraCluster(t *testing.T) {
 func TestLBCJoinLeave(t *testing.T) {
 	net, ids := buildNetwork(t, 150, 6)
 	seed := NewDNSSeed()
-	proto := NewLBC(net, seed, LBCConfig{})
+	proto := NewLBC(net, seed)
 	if err := proto.Bootstrap(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestLBCGeographicProximityOfClusters(t *testing.T) {
 	// The defining property: same-cluster pairs are geographically closer
 	// than cross-cluster pairs on average.
 	net, ids := buildNetwork(t, 300, 7)
-	proto := NewLBC(net, NewDNSSeed(), LBCConfig{})
+	proto := NewLBC(net, NewDNSSeed())
 	if err := proto.Bootstrap(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
